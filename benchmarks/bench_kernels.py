@@ -52,7 +52,7 @@ from repro.kernels import (                               # noqa: E402
     available_backends,
     run_parallel_trials,
 )
-from repro.kernels.numba_backend import NUMBA_IMPORT_ERROR  # noqa: E402
+from repro.kernels.registry import NUMBA_IMPORT_ERROR  # noqa: E402
 from repro.rng import default_generator                   # noqa: E402
 
 _NUMBA_CONTESTANTS = ("numba", "numba-parallel")

@@ -59,7 +59,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.extensions.reconcile import run_reconciliation      # noqa: E402
 from repro.hashing import DoubleHashingChoices                 # noqa: E402
 from repro.kernels import available_backends, run_peeling_kernel  # noqa: E402
-from repro.kernels.numba_peeling import NUMBA_IMPORT_ERROR     # noqa: E402
+from repro.kernels.registry import NUMBA_IMPORT_ERROR          # noqa: E402
 from repro.peeling import (                                    # noqa: E402
     build_hypergraph,
     peel_reference,

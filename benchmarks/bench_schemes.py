@@ -56,6 +56,7 @@ from repro.hashing import (                               # noqa: E402
 )
 from repro.hashing.registry import SCHEME_INFO            # noqa: E402
 from repro.kernels import available_backends              # noqa: E402
+from repro.kernels.registry import ENV_VAR                 # noqa: E402
 
 HASH_FAMILIES = ("multiply-shift", "tabulation", "pairwise", "universal")
 PLACEMENT_SCHEMES = (
@@ -171,14 +172,14 @@ def run(n, d, trials, n_keys, seed, rounds, map_trials):
     tiers = {}
     requested = available_backends()
     for backend in requested:
-        os.environ["REPRO_BACKEND"] = backend
+        os.environ[ENV_VAR] = backend
         try:
             tiers[backend] = {
                 "hashing": _bench_hashing(n, n_keys, seed, rounds),
                 "placement": _bench_placement(n, d, trials, seed, rounds),
             }
         finally:
-            os.environ.pop("REPRO_BACKEND", None)
+            os.environ.pop(ENV_VAR, None)
     emap = equivalence_map(n, d, map_trials, seed)
     return {
         "geometry": {

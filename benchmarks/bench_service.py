@@ -60,8 +60,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.kernels.keymap import available_keymap_backends  # noqa: E402
-from repro.kernels.numba_keymap import NUMBA_IMPORT_ERROR   # noqa: E402
+from repro.kernels.registry import NUMBA_IMPORT_ERROR, available  # noqa: E402
 from repro.metrics import MetricsRegistry                   # noqa: E402
 from repro.service import KeyedStore                        # noqa: E402
 
@@ -161,7 +160,7 @@ def run(n=2**16, d=2, n_keys=2**20, seed=20140623, rounds=5,
     )
     backend_runs = {
         backend: ("double", backend)
-        for backend in available_keymap_backends()
+        for backend in available("keymap")
     }
     b_ins, b_lkp, b_tails = _bench_contestants(
         backend_runs, n, d, n_keys, seed, rounds, micro_batch
@@ -180,7 +179,7 @@ def run(n=2**16, d=2, n_keys=2**20, seed=20140623, rounds=5,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
-            "keymap_backends_available": list(available_keymap_backends()),
+            "keymap_backends_available": list(available("keymap")),
         },
         "results": _results(s_ins, s_lkp, s_tails, n_keys, baseline="double"),
         "backends": backends,

@@ -18,6 +18,7 @@ import argparse
 from repro import DoubleHashingChoices, simulate_batch, simulate_dleft
 from repro.core.dleft import make_dleft_scheme
 from repro.fluid import solve_balls_bins, solve_dleft
+from repro.kernels.registry import TIER_ORDER
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
     parser.add_argument("--d", type=int, default=4)
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--backend", choices=["numpy", "numba"], default=None,
+    parser.add_argument("--backend", choices=TIER_ORDER, default=None,
                         help="placement-kernel backend "
                              "(default: REPRO_BACKEND, then auto)")
     parser.add_argument("--block", type=int, default=None,

@@ -17,6 +17,7 @@ import argparse
 
 from repro import DoubleHashingChoices, FullyRandomChoices
 from repro.fluid import equilibrium_mean_sojourn_time, solve_supermarket
+from repro.kernels.registry import TIER_ORDER
 from repro.queueing import simulate_supermarket
 
 
@@ -29,7 +30,7 @@ def main() -> None:
     parser.add_argument("--time", type=float, default=500.0)
     parser.add_argument("--burn-in", type=float, default=100.0)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--backend", choices=["numpy", "numba"], default=None,
+    parser.add_argument("--backend", choices=TIER_ORDER, default=None,
                         help="placement-kernel backend "
                              "(default: REPRO_BACKEND, then auto)")
     args = parser.parse_args()

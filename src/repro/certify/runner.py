@@ -55,7 +55,7 @@ from repro.fluid import (
     solve_heavy_load,
 )
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices, make_scheme
-from repro.kernels import resolve_backend
+from repro.kernels.registry import resolve
 from repro.metrics import MetricsRegistry
 from repro.peeling import peeling_threshold, threshold_experiment
 from repro.queueing import simulate_supermarket
@@ -740,7 +740,7 @@ def run_certification(
     """
     if isinstance(tier, str):
         tier = TIERS[tier] if tier in TIERS else _unknown_tier(tier)
-    resolved_backend = resolve_backend(backend).name
+    resolved_backend = resolve("placement", backend)
     cert = Certification(
         tier=tier.name,
         description=tier.description,

@@ -31,7 +31,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
-from repro.kernels import DEFAULT_BLOCK, kernel_metrics, resolve_backend
+from repro.kernels import DEFAULT_BLOCK, kernel_metrics
+from repro.kernels.registry import resolve
 from repro.metrics import MetricsRegistry
 from repro.rng import default_generator
 from repro.types import TrialBatchResult
@@ -120,7 +121,7 @@ def simulate_churn(
         raise ConfigurationError(
             f"tie_break must be 'random' or 'left', got {tie_break!r}"
         )
-    impl = resolve_backend(backend, metrics=metrics)
+    tier = resolve("placement", backend, metrics=metrics)
     registry = metrics if metrics is not None else kernel_metrics()
     rng = default_generator(seed)
     n = scheme.n_bins
@@ -162,5 +163,5 @@ def simulate_churn(
 
     registry.increment("churn.balls_filled", n_balls * trials)
     registry.increment("churn.steps", churn_steps * trials)
-    registry.increment(f"churn.calls.{impl.name}", 1)
+    registry.increment(f"churn.calls.{tier}", 1)
     return TrialBatchResult(n_bins=n, n_balls=n_balls, loads=loads)

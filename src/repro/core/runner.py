@@ -10,21 +10,22 @@ and progress instrumentation — then folds the chunk summaries into a
 O(max_load) no matter how many trials are requested, matching the
 paper's 10^4-trial scale.
 
-The preferred call style passes an
+Every run is described by one
 :class:`~repro.experiments.config.ExperimentSpec`::
 
     spec = ExperimentSpec(n=2**14, d=3, trials=1000, seed=1, workers=4)
     result = run_experiment(DoubleHashingChoices(spec.n, spec.d), spec)
 
-The historical ``run_experiment(scheme, n_balls, trials, **kw)`` signature
-still works but emits a :class:`DeprecationWarning`.
+The placement tier is resolved once, in the driver, before any chunk
+runs: a bad ``REPRO_BACKEND`` fails at once with the registry's
+:class:`~repro.errors.ConfigurationError` instead of inside retried
+chunks, and every chunk receives the same resolved tier.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.core.stats import StreamingLoadAggregator, trial_histograms
 from repro.core.vectorized import simulate_batch
 from repro.errors import ConfigurationError
 from repro.hashing.base import ChoiceScheme
+from repro.kernels.registry import resolve
 from repro.metrics import MetricsRegistry
 from repro.parallel.engine import ChunkProgress, ExecutionEngine
 from repro.types import LoadDistribution
@@ -70,10 +72,8 @@ class ExperimentResult:
 class _ChunkTask:
     """Picklable chunk description shipped to worker processes.
 
-    ``backend`` rides along so pool workers inherit the kernel backend of
-    the parent run (the ``REPRO_BACKEND`` environment variable is also
-    inherited by spawned processes, but an explicit spec choice must win
-    over the worker's environment).
+    ``backend`` is the placement tier the driver resolved, so pool
+    workers run exactly that tier whatever their own environment says.
     """
 
     scheme: ChoiceScheme
@@ -147,58 +147,10 @@ def _run_parallel_chunk(
     )
 
 
-def _coerce_spec(
-    spec: Any,
-    trials: int | None,
-    kwargs: dict[str, Any],
-) -> "ExperimentSpec":
-    """Resolve the (spec | legacy keyword) calling conventions."""
-    from repro.experiments.config import ExperimentSpec
-
-    if isinstance(spec, ExperimentSpec):
-        if trials is not None:
-            spec = spec.replace(trials=trials)
-        overrides = {k: v for k, v in kwargs.items() if v is not None}
-        return spec.replace(**overrides) if overrides else spec
-    # Legacy: the second positional argument was ``n_balls``.
-    if spec is None and kwargs.get("n_balls") is None:
-        raise ConfigurationError(
-            "run_experiment needs an ExperimentSpec (or legacy n_balls/trials)"
-        )
-    warnings.warn(
-        "run_experiment(scheme, n_balls, trials, ...) is deprecated; "
-        "pass an ExperimentSpec instead: run_experiment(scheme, spec)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    n_balls = kwargs.pop("n_balls", None)
-    if n_balls is None:
-        n_balls = spec
-    legacy = {
-        "n_balls": int(n_balls),
-        "trials": 0 if trials is None else trials,
-        # Legacy default seed was None (fresh entropy), not the spec's 1.
-        "seed": None,
-        "tie_break": "random",
-        "block": 128,
-        "workers": 1,
-    }
-    legacy.update({k: v for k, v in kwargs.items() if v is not None})
-    return ExperimentSpec(n=legacy["n_balls"], **legacy)
-
-
 def run_experiment(
     scheme: ChoiceScheme,
-    spec: "ExperimentSpec | int | None" = None,
-    trials: int | None = None,
+    spec: "ExperimentSpec",
     *,
-    n_balls: int | None = None,
-    seed: int | None = None,
-    tie_break: str | None = None,
-    block: int | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
-    chunks: int | None = None,
     metrics: MetricsRegistry | None = None,
     progress: Callable[[ChunkProgress], None] | None = None,
 ) -> ExperimentResult:
@@ -211,12 +163,7 @@ def run_experiment(
         all built-in schemes are).
     spec:
         The :class:`~repro.experiments.config.ExperimentSpec` describing
-        the run.  (Legacy: an integer here is read as ``n_balls`` and
-        triggers the deprecated keyword path.)
-    trials, n_balls, seed, tie_break, block, backend, workers, chunks:
-        Per-call overrides of the corresponding spec fields; with a spec
-        these are conveniences (``None`` means "use the spec"), without
-        one they form the deprecated legacy signature.
+        the run; derive variants with ``spec.replace(...)``.
     metrics:
         Registry to instrument the run with; when ``None`` one is created
         if ``spec.metrics_out`` is set (and saved there afterwards).
@@ -224,19 +171,6 @@ def run_experiment(
         Callback receiving a :class:`~repro.parallel.engine.ChunkProgress`
         per completed chunk.
     """
-    spec = _coerce_spec(
-        spec,
-        trials,
-        {
-            "n_balls": n_balls,
-            "seed": seed,
-            "tie_break": tie_break,
-            "block": block,
-            "backend": backend,
-            "workers": workers,
-            "chunks": chunks,
-        },
-    )
     if spec.trials < 1:
         raise ConfigurationError(f"trials must be positive, got {spec.trials}")
 
@@ -247,6 +181,7 @@ def run_experiment(
         spec.engine_config(), metrics=registry, progress=progress
     )
     registry = engine.metrics  # the engine creates one when none was given
+    backend = resolve("placement", spec.backend, metrics=registry)
 
     n_balls_run = spec.balls
     with registry.timer("experiment.total_seconds"):
@@ -266,7 +201,7 @@ def run_experiment(
                     n_balls=n_balls_run,
                     tie_break=spec.tie_break,
                     block=spec.block,
-                    backend=spec.backend,
+                    backend=backend,
                     root=root,
                     shards=spec.shards,
                 ),
@@ -282,7 +217,7 @@ def run_experiment(
                     n_balls=n_balls_run,
                     tie_break=spec.tie_break,
                     block=spec.block,
-                    backend=spec.backend,
+                    backend=backend,
                 ),
                 spec.trials,
                 seed=spec.seed,

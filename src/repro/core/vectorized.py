@@ -88,8 +88,9 @@ def simulate_batch(
         If True, verify after the run that every trial placed exactly
         ``n_balls`` balls (cheap O(trials · n_bins) check; used in tests).
     backend:
-        Kernel backend name (``"numpy"``/``"numba"``); ``None`` defers to
-        ``REPRO_BACKEND`` then auto-detection.
+        Kernel tier name; ``None`` defers to ``REPRO_BACKEND`` then
+        auto-detection (the ``"placement"`` family of
+        :mod:`repro.kernels.registry`).
     metrics:
         Registry for kernel timers and backend events; defaults to the
         process-global registry.

@@ -43,7 +43,7 @@ from repro.experiments import format_table
 from repro.experiments import tables as _tables
 from repro.experiments.config import TABLE_DEFAULTS, ExperimentSpec
 from repro.hashing.registry import keyed_scheme_names, scheme_names
-from repro.kernels.keymap import KNOWN_KEYMAP_BACKENDS
+from repro.kernels.registry import TIER_ORDER
 from repro.metrics import MetricsRegistry
 from repro.parallel.engine import ChunkProgress
 
@@ -93,8 +93,8 @@ def _add_spec_options(p: argparse.ArgumentParser, spec: ExperimentSpec) -> None:
         help="ball-steps per kernel superblock (default: sweep-derived)",
     )
     p.add_argument(
-        "--backend", choices=["numpy", "numba"], default=spec.backend,
-        help="placement-kernel backend (default: REPRO_BACKEND, then auto)",
+        "--backend", choices=TIER_ORDER, default=spec.backend,
+        help="kernel tier (default: REPRO_BACKEND, then auto)",
     )
     p.add_argument(
         "--trials-mode", choices=["chunked", "parallel"],
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=1,
                        help="shard count (power of two; 1 = single store)")
     serve.add_argument(
-        "--backend", choices=list(KNOWN_KEYMAP_BACKENDS), default=None,
+        "--backend", choices=TIER_ORDER, default=None,
         help="assignment-map kernel tier (default: REPRO_BACKEND, then auto)",
     )
     serve.add_argument("--seed", type=int, default=1)
@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     peeling.add_argument("--trials", type=int, default=8)
     peeling.add_argument("--seed", type=int, default=1)
     peeling.add_argument(
-        "--backend", choices=["numpy", "numba"], default=None,
-        help="peeling-kernel backend (default: REPRO_BACKEND, then auto)",
+        "--backend", choices=TIER_ORDER, default=None,
+        help="peeling-kernel tier (default: REPRO_BACKEND, then auto)",
     )
 
     reconcile = sub.add_parser(
@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to write the machine-readable verdict",
     )
     certify.add_argument(
-        "--backend", choices=["numpy", "numba"], default=None,
-        help="kernel backend override for every run",
+        "--backend", choices=TIER_ORDER, default=None,
+        help="kernel tier override for every run",
     )
     certify.add_argument("--workers", type=int, default=None)
     certify.add_argument(

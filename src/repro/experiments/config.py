@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from repro.certify.anchors import paper_values as _paper_values
 from repro.errors import ConfigurationError
 from repro.hashing.registry import make_scheme, scheme_names
-from repro.kernels import DEFAULT_BLOCK, KNOWN_BACKENDS
+from repro.kernels import DEFAULT_BLOCK
+from repro.kernels.registry import TIER_ORDER
 from repro.parallel.engine import EngineConfig
 
-__all__ = ["ExperimentScale", "ExperimentSpec", "PAPER_VALUES", "TABLE_DEFAULTS"]
+__all__ = ["ExperimentSpec", "PAPER_VALUES", "TABLE_DEFAULTS"]
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,11 @@ class ExperimentSpec:
         engine.  The default is the sweep-derived
         :data:`repro.kernels.DEFAULT_BLOCK` (see ``docs/performance.md``).
     backend:
-        Kernel backend (``"numpy"``/``"numba"``); ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, then auto-detection.
-        Worker processes inherit the choice.
+        Kernel tier from the registry vocabulary
+        (:data:`repro.kernels.registry.TIER_ORDER`); ``None`` defers to
+        the ``REPRO_BACKEND`` environment variable, then auto-detection.
+        A tier a kernel family lacks degrades to its nearest tier.
+        Worker processes inherit the resolved tier.
     scheme:
         Choice-scheme registry name (see
         :func:`repro.hashing.scheme_names`); ``None`` defers to the
@@ -141,9 +144,9 @@ class ExperimentSpec:
             )
         if self.block < 1:
             raise ConfigurationError(f"block must be positive, got {self.block}")
-        if self.backend is not None and self.backend not in KNOWN_BACKENDS:
+        if self.backend is not None and self.backend not in TIER_ORDER:
             raise ConfigurationError(
-                f"backend must be one of {KNOWN_BACKENDS} or None, "
+                f"backend must be one of {TIER_ORDER} or None, "
                 f"got {self.backend!r}"
             )
         if self.scheme is not None and self.scheme not in scheme_names():
@@ -215,29 +218,6 @@ TABLE_DEFAULTS: dict[str, ExperimentSpec] = {
     "table7": ExperimentSpec(n=2**14, d=4, trials=100, seed=7),
     "table8": ExperimentSpec(n=2**10, d=3, seed=8, sim_time=1000.0, burn_in=100.0),
 }
-
-
-@dataclass(frozen=True)
-class ExperimentScale:
-    """Knobs shared by the experiment functions.
-
-    .. deprecated::
-        Superseded by :class:`ExperimentSpec`, which additionally carries
-        geometry and engine policy; retained for existing callers.
-
-    Attributes
-    ----------
-    trials:
-        Trials per configuration (paper: 10000).
-    seed:
-        Root seed for reproducibility.
-    workers:
-        Process count for trial fan-out.
-    """
-
-    trials: int = 100
-    seed: int = 20140623  # SPAA 2014 start date
-    workers: int = 1
 
 
 # Published numbers, in the historical nested-dict shape.  The actual

@@ -9,16 +9,16 @@ times.  This package isolates that loop behind a small backend registry:
   integer tie keys, preallocated scratch reused across blocks).
 - ``"numba"`` — optional; a ``@njit(cache=True)`` whole-block sequential
   loop over the same packed draws (:mod:`repro.kernels.numba_backend`),
-  bit-identical to numpy for the same seed.  When numba is not importable
-  the registry silently falls back to numpy and logs a
-  ``backend-fallback`` event to the :func:`repro.metrics.global_registry`.
+  bit-identical to numpy for the same seed.
 
-Backend selection order: an explicit ``backend=`` argument (or
-``ExperimentSpec.backend``) wins, then the ``REPRO_BACKEND`` environment
-variable, then auto-detection (numba if importable, else numpy).  Worker
-processes inherit the backend through the pickled chunk task *and* the
-environment variable, so ``run_experiment`` fan-out uses one backend
-everywhere.
+Every family's tier is chosen by :mod:`repro.kernels.registry` — one
+vocabulary (``reference < numpy < numba < numba-parallel``), one
+resolution order (explicit ``backend=`` or ``ExperimentSpec.backend`` >
+the ``REPRO_BACKEND`` environment variable > auto), and one rule for a
+tier a family lacks or cannot run here: degrade to the nearest tier and
+log a ``backend-fallback`` event naming the family.  ``run_experiment``
+resolves the placement tier once in the driver and ships the resolved
+name to its workers, so a fan-out uses one tier everywhere.
 
 The shared data contract (packed candidates, tie keys, dummy padding) is
 documented in :mod:`repro.kernels.generate`; :func:`run_placement_kernel`
@@ -44,15 +44,13 @@ under the synchronous-round contract documented in
 And the service path: the keyed store's assignment map (key → bin) runs
 on the vectorized open-addressed :class:`repro.kernels.keymap.KeyMap`
 kernel — itself a double-hashed table, see :mod:`repro.hashing.probe` —
-behind :func:`make_keymap` with its own four-tier backend registry
+behind :func:`make_keymap`, the one family with all four tiers
 (``reference`` / ``numpy`` / ``numba`` / ``numba-parallel``); every tier
 is exactly equal, batch by batch, to the dict oracle
 :class:`repro.kernels.keymap.ReferenceKeyMap`.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -61,6 +59,7 @@ from repro.hashing.base import ChoiceScheme
 from repro.kernels import numba_backend as _numba_mod
 from repro.kernels import numba_peeling as _numba_peel
 from repro.kernels import numba_supermarket as _numba_sm
+from repro.kernels import registry as _registry
 from repro.kernels.generate import (
     KEY_SHIFT,
     KernelLayout,
@@ -75,13 +74,10 @@ from repro.kernels.hash_schemes import (
     tabulation_hash_u64,
 )
 from repro.kernels.keymap import (
-    KNOWN_KEYMAP_BACKENDS,
     NOT_FOUND,
     KeyMap,
     ReferenceKeyMap,
-    available_keymap_backends,
     make_keymap,
-    resolve_keymap_backend,
 )
 from repro.kernels.numpy_backend import NumpyBackend, choose_window
 from repro.kernels.peeling import (
@@ -114,14 +110,12 @@ from repro.types import QueueingResult
 __all__ = [
     "DEFAULT_BLOCK",
     "KEY_SHIFT",
-    "KNOWN_KEYMAP_BACKENDS",
     "KernelLayout",
     "KeyMap",
     "NOT_FOUND",
     "PeelOutcome",
     "ReferenceKeyMap",
     "available_backends",
-    "available_keymap_backends",
     "check_queue_packing",
     "choose_window",
     "default_shards",
@@ -135,7 +129,6 @@ __all__ = [
     "place_ball",
     "plan_layout",
     "resolve_backend",
-    "resolve_keymap_backend",
     "run_parallel_trials",
     "run_peeling_kernel",
     "run_placement_kernel",
@@ -153,16 +146,14 @@ __all__ = [
 #: ``docs/performance.md``.
 DEFAULT_BLOCK = 4096
 
-ENV_VAR = "REPRO_BACKEND"
-KNOWN_BACKENDS = ("numpy", "numba")
-
-_NUMPY = NumpyBackend()
-_NUMBA = _numba_mod.NumbaBackend() if _numba_mod.NUMBA_AVAILABLE else None
+_IMPLS = {"numpy": NumpyBackend()}
+if _registry.NUMBA_AVAILABLE:  # pragma: no cover - needs numba
+    _IMPLS["numba"] = _numba_mod.NumbaBackend()
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names of the backends importable in this process."""
-    return KNOWN_BACKENDS if _NUMBA is not None else ("numpy",)
+    """Placement tiers that can run in this process."""
+    return _registry.available("placement")
 
 
 def kernel_metrics() -> MetricsRegistry:
@@ -170,46 +161,16 @@ def kernel_metrics() -> MetricsRegistry:
     return global_registry()
 
 
-def _log_fallback(
-    requested: str, source: str, metrics: MetricsRegistry | None
-) -> None:
-    fields = dict(
-        requested=requested,
-        using="numpy",
-        source=source,
-        error=repr(_numba_mod.NUMBA_IMPORT_ERROR),
-    )
-    global_registry().event("backend-fallback", **fields)
-    if metrics is not None and metrics is not global_registry():
-        metrics.event("backend-fallback", **fields)
-
-
 def resolve_backend(name: str | None = None, *, metrics: MetricsRegistry | None = None):
-    """Resolve a backend: explicit ``name`` > ``REPRO_BACKEND`` env > auto.
+    """The placement implementation for ``name`` (see :mod:`repro.kernels.registry`).
 
-    Unknown names raise :class:`~repro.errors.ConfigurationError`.
-    Requesting ``"numba"`` where numba is not importable returns the numpy
-    backend and logs a ``backend-fallback`` event (to ``metrics`` when
-    given, and always to the global registry) — runs keep working, the
-    degradation is observable.
+    Returns an object with ``.name`` (the resolved tier),
+    ``make_workspace`` and ``place``.  Unknown names raise
+    :class:`~repro.errors.ConfigurationError`; a tier the placement
+    family cannot run here degrades with a logged ``backend-fallback``
+    event.
     """
-    source = "explicit"
-    if name is None:
-        name = os.environ.get(ENV_VAR) or None
-        source = "env"
-    if name is None:
-        return _NUMBA if _NUMBA is not None else _NUMPY
-    name = name.strip().lower()
-    if name not in KNOWN_BACKENDS:
-        raise ConfigurationError(
-            f"unknown kernel backend {name!r}; known: {', '.join(KNOWN_BACKENDS)}"
-        )
-    if name == "numba":
-        if _NUMBA is None:
-            _log_fallback("numba", source, metrics)
-            return _NUMPY
-        return _NUMBA
-    return _NUMPY
+    return _IMPLS[_registry.resolve("placement", name, metrics=metrics)]
 
 
 def run_placement_kernel(
@@ -341,9 +302,9 @@ def run_peeling_kernel(
 
     The peeling face of the kernel subsystem:
     :func:`repro.peeling.decoder.peel` and the batched IBLT lister drive
-    this function.  Backend selection follows the standard order
-    (explicit ``backend`` > ``REPRO_BACKEND`` env > auto), and every
-    backend is exactly equivalent — success flag, peel order, core-edge
+    this function.  The tier comes from
+    :func:`repro.kernels.registry.resolve` (family ``"peeling"``), and
+    every tier is exactly equivalent — success flag, peel order, core-edge
     set, round count — to :func:`repro.peeling.decoder.peel_reference`
     under the synchronous-round contract documented in
     :mod:`repro.kernels.peeling`.
@@ -357,8 +318,7 @@ def run_peeling_kernel(
     n_vertices:
         Vertex-space size (IBLT cell count / hypergraph vertex count).
     backend:
-        Kernel-backend name (``"numpy"`` / ``"numba"``), or None for
-        env/auto resolution.
+        Kernel tier name, or None for env/auto resolution.
     metrics:
         Registry receiving the kernel timer/counters (global by default).
 
@@ -368,10 +328,10 @@ def run_peeling_kernel(
         ``(success, peeled_order, core_edges, rounds)``.
     """
     edges = validate_edges(edges, n_vertices)
-    impl = resolve_backend(backend, metrics=metrics)
+    tier = _registry.resolve("peeling", backend, metrics=metrics)
     registry = metrics if metrics is not None else kernel_metrics()
     with registry.timer("kernel.peel_seconds"):
-        if impl.name == "numba" and edges.shape[0]:
+        if tier == "numba" and edges.shape[0]:
             degree, edge_xor = build_accumulators(edges, n_vertices)
             n_peeled, order, alive, rounds, status = (
                 _numba_peel.peel_arrays_numba(edges, degree, edge_xor)
@@ -389,7 +349,7 @@ def run_peeling_kernel(
         else:
             outcome = peel_arrays_numpy(edges, n_vertices)
     registry.increment("kernel.edges_peeled", int(outcome.peeled_order.size))
-    registry.increment(f"kernel.calls.{impl.name}", 1)
+    registry.increment(f"kernel.calls.{tier}", 1)
     return outcome
 
 
@@ -410,9 +370,9 @@ def run_supermarket_kernel(
 
     The queueing face of the kernel subsystem (Tables 7-8):
     :func:`repro.queueing.simulate_supermarket` is a thin wrapper over this
-    function.  Backend selection follows the standard order (explicit
-    ``backend`` > ``REPRO_BACKEND`` env > auto), and every backend is
-    bit-identical to
+    function.  The tier comes from
+    :func:`repro.kernels.registry.resolve` (family ``"supermarket"``),
+    and every tier is bit-identical to
     :func:`repro.kernels.reference.simulate_supermarket_reference` for the
     same seed under the draw-stream contract documented in
     :mod:`repro.kernels.supermarket`.
@@ -442,8 +402,7 @@ def run_supermarket_kernel(
         ``"random"`` (the standard model) or ``"left"`` (join the first
         shortest candidate in choice order).
     backend:
-        Kernel-backend name (``"numpy"`` / ``"numba"``), or None for
-        env/auto resolution.
+        Kernel tier name, or None for env/auto resolution.
     metrics:
         Registry receiving the kernel timer/counters (global by default).
 
@@ -453,7 +412,7 @@ def run_supermarket_kernel(
         Sojourn mean, event counts, busy fraction, and optional tails.
     """
     validate_supermarket_args(lam, sim_time, burn_in, tie_break)
-    impl = resolve_backend(backend, metrics=metrics)
+    tier = _registry.resolve("supermarket", backend, metrics=metrics)
     registry = metrics if metrics is not None else kernel_metrics()
     rng = default_generator(seed)
     n = scheme.n_bins
@@ -461,7 +420,7 @@ def run_supermarket_kernel(
         max_total_jobs = 50 * n
     check_queue_packing(max_total_jobs)
     left_ties = tie_break == "left"
-    if impl.name == "numba":
+    if tier == "numba":
         simulate = _numba_sm.simulate_supermarket_numba
     else:
         simulate = simulate_supermarket_numpy
@@ -480,5 +439,5 @@ def run_supermarket_kernel(
         "kernel.supermarket_events", stats.n_arrivals + stats.n_departures
     )
     registry.increment("kernel.supermarket_completions", stats.s_count)
-    registry.increment(f"kernel.calls.{impl.name}", 1)
+    registry.increment(f"kernel.calls.{tier}", 1)
     return finalize_stats(stats, n=n, sim_time=sim_time, burn_in=burn_in)

@@ -33,9 +33,8 @@ two mechanisms, defined here once:
    results are independent of scheduling, chunking, and host (the
    *seed-equivalence* guarantee).
 
-The block sizes and the tie width are owned here; the historical homes in
-:mod:`repro.kernels.supermarket` re-export them through a deprecation
-shim for one release.
+The block sizes and the tie width are owned here and imported from here
+only.
 """
 
 from __future__ import annotations

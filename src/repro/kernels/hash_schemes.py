@@ -7,8 +7,9 @@ for correctness, far too slow for the n = 2^24 equivalence sweeps the
 certification tiers run.  This module is the kernel-grade hot path those
 families now delegate to, mirroring the placement/supermarket/peeling
 split: a numpy tier that is always available, an optional ``@njit`` tier
-(:mod:`repro.kernels.numba_hash`) selected through the same backend
-registry (explicit ``backend=`` > ``REPRO_BACKEND`` env > auto), and
+(:mod:`repro.kernels.numba_hash`) selected as the ``"hash"`` family of
+:mod:`repro.kernels.registry` (explicit ``backend=`` > ``REPRO_BACKEND``
+env > auto), and
 pure-Python scalar oracles that the cross-backend bit-identity suites
 check both tiers against.
 
@@ -48,6 +49,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.kernels import numba_hash as _numba_hash
+from repro.kernels.registry import resolve
 
 __all__ = [
     "MERSENNE_P",
@@ -94,16 +96,6 @@ def _keys_u64(keys: np.ndarray) -> np.ndarray:
     if arr.dtype != _U64:
         return arr.astype(_U64)
     return arr
-
-
-def _use_numba(backend: str | None) -> bool:
-    """Resolve to the numba tier through the shared backend registry."""
-    from repro.kernels import resolve_backend
-
-    return (
-        resolve_backend(backend).name == "numba"
-        and _numba_hash.NUMBA_AVAILABLE
-    )
 
 
 def flatten_tables(tables: np.ndarray) -> np.ndarray:
@@ -162,10 +154,10 @@ def tabulation_hash_u64(
     flat_tables:
         ``(2048,)`` uint64 gather table from :func:`flatten_tables`.
     backend:
-        Kernel backend name; resolution follows
-        :func:`repro.kernels.resolve_backend` (explicit >
-        ``REPRO_BACKEND`` env > auto), with the registry's silent
-        numba-to-numpy fallback.  Tiers are bit-identical.
+        Kernel tier name; resolved as the ``"hash"`` family by
+        :func:`repro.kernels.registry.resolve` (explicit >
+        ``REPRO_BACKEND`` env > auto, logged fallback to the nearest
+        tier).  Tiers are bit-identical.
     """
     flat = np.asarray(flat_tables, dtype=_U64)
     if flat.shape != (TAB_CHARS * TAB_TABLE_SIZE,):
@@ -175,7 +167,7 @@ def tabulation_hash_u64(
         )
     arr = _keys_u64(keys)
     out = np.empty(arr.size, dtype=_U64)
-    if _use_numba(backend):
+    if resolve("hash", backend) == "numba":
         _numba_hash.tabulation_u64(arr, flat, out)
     else:
         _tabulation_numpy(arr, flat, out)
@@ -259,7 +251,7 @@ def pairwise_affine_u64(
         raise ConfigurationError(f"need 0 <= b < 2^61-1, got {b}")
     arr = _keys_u64(keys)
     out = np.empty(arr.size, dtype=_U64)
-    if _use_numba(backend):
+    if resolve("hash", backend) == "numba":
         _numba_hash.pairwise_u64(arr, _U64(a), _U64(b), out)
     else:
         _pairwise_numpy(arr, a, b, out)

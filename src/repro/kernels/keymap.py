@@ -15,8 +15,9 @@ with an odd stride from one splitmix64 pass, see
   ``-1`` per key, again with exact sequential batch semantics.
 - ``lookup_many(keys)`` — stored value or ``-1`` per key.
 
-Three backends share the registry idiom (explicit argument >
-``REPRO_BACKEND`` env > auto):
+The keymap is the one family with all four tiers of
+:mod:`repro.kernels.registry` (explicit argument > ``REPRO_BACKEND`` env
+> auto):
 
 - ``"reference"`` — the demoted dict path (:class:`ReferenceKeyMap`),
   the semantics oracle every other backend is tested exactly equal to;
@@ -25,8 +26,8 @@ Three backends share the registry idiom (explicit argument >
   rare same-key ordering fixup, advance the survivors;
 - ``"numba"`` / ``"numba-parallel"`` — a JIT straight probe loop
   (:mod:`repro.kernels.numba_keymap`); the parallel variant runs
-  lookups under ``prange``.  Falls back to numpy with a logged
-  ``backend-fallback`` event when numba is not importable.
+  lookups under ``prange``.  The registry degrades both to numpy with
+  a logged ``backend-fallback`` event when numba is not importable.
 
 Capacity is negotiated per batch: the table rehashes (amortized, counted
 under ``keymap.rehashes``) whenever live + tombstone + incoming slots
@@ -44,28 +45,24 @@ every backend maintains the open-addressing reachability invariant.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.probe import DEFAULT_PROBE_SEED, probe_start_stride
 from repro.kernels import numba_keymap as _njm
+from repro.kernels.registry import resolve
 from repro.metrics import MetricsRegistry, global_registry
 
 __all__ = [
     "EMPTY",
     "GROW_FILL",
-    "KNOWN_KEYMAP_BACKENDS",
     "MAX_FILL",
     "MIN_CAP_BITS",
     "NOT_FOUND",
     "TOMBSTONE",
     "KeyMap",
     "ReferenceKeyMap",
-    "available_keymap_backends",
     "make_keymap",
-    "resolve_keymap_backend",
 ]
 
 #: Slot-state sentinels in the value array (stored bins are >= 0).
@@ -83,54 +80,7 @@ GROW_FILL = 0.4
 #: Smallest table: 2**MIN_CAP_BITS slots.
 MIN_CAP_BITS = 6
 
-KNOWN_KEYMAP_BACKENDS = ("reference", "numpy", "numba", "numba-parallel")
-
-_ENV_VAR = "REPRO_BACKEND"
 _I32_MAX = np.iinfo(np.int32).max
-
-
-def available_keymap_backends() -> tuple[str, ...]:
-    """Keymap backend names importable in this process."""
-    if _njm.NUMBA_AVAILABLE:
-        return KNOWN_KEYMAP_BACKENDS
-    return ("reference", "numpy")
-
-
-def resolve_keymap_backend(
-    name: str | None = None, *, metrics: MetricsRegistry | None = None
-) -> str:
-    """Resolve a keymap backend name: explicit > ``REPRO_BACKEND`` > auto.
-
-    Mirrors :func:`repro.kernels.resolve_backend`: requesting a numba
-    tier where numba is not importable degrades to ``"numpy"`` and logs
-    a ``backend-fallback`` event (to ``metrics`` when given, and always
-    to the global registry); unknown names raise
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    source = "explicit"
-    if name is None:
-        name = os.environ.get(_ENV_VAR) or None
-        source = "env"
-    if name is None:
-        return "numba" if _njm.NUMBA_AVAILABLE else "numpy"
-    name = name.strip().lower()
-    if name not in KNOWN_KEYMAP_BACKENDS:
-        raise ConfigurationError(
-            f"unknown keymap backend {name!r}; known: "
-            f"{', '.join(KNOWN_KEYMAP_BACKENDS)}"
-        )
-    if name.startswith("numba") and not _njm.NUMBA_AVAILABLE:
-        fields = dict(
-            requested=name,
-            using="numpy",
-            source=source,
-            error=repr(_njm.NUMBA_IMPORT_ERROR),
-        )
-        global_registry().event("backend-fallback", **fields)
-        if metrics is not None and metrics is not global_registry():
-            metrics.event("backend-fallback", **fields)
-        return "numpy"
-    return name
 
 
 def make_keymap(
@@ -147,7 +97,7 @@ def make_keymap(
     :class:`KeyMap` running that kernel tier.  ``expected`` presizes
     capacity for that many live keys (still grows on demand).
     """
-    resolved = resolve_keymap_backend(backend, metrics=metrics)
+    resolved = resolve("keymap", backend, metrics=metrics)
     if resolved == "reference":
         return ReferenceKeyMap(metrics=metrics)
     return KeyMap(
@@ -521,7 +471,7 @@ class KeyMap:
         metrics: MetricsRegistry | None = None,
         probe_seed: int = DEFAULT_PROBE_SEED,
     ) -> None:
-        resolved = resolve_keymap_backend(backend, metrics=metrics)
+        resolved = resolve("keymap", backend, metrics=metrics)
         if resolved == "reference":
             raise ConfigurationError(
                 "KeyMap is the flat-array form; use make_keymap() for the "

@@ -9,9 +9,9 @@ are **bit-identical** for the same seed (asserted in
 ``tests/kernels/test_equivalence.py`` whenever numba is installed).
 
 Numba is an optional dependency: importing this module never raises.
-When the import fails, :data:`NUMBA_AVAILABLE` is ``False`` and backend
-resolution in :mod:`repro.kernels` falls back to numpy, logging a
-``backend-fallback`` metrics event.
+The one numba import lives in :mod:`repro.kernels.registry`, which
+degrades a ``numba`` request to numpy (logging a ``backend-fallback``
+event) when numba is not importable.
 """
 
 from __future__ import annotations
@@ -19,18 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.generate import KernelLayout
+from repro.kernels.registry import NUMBA_AVAILABLE, njit
 
-__all__ = ["NUMBA_AVAILABLE", "NUMBA_IMPORT_ERROR", "NumbaBackend"]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-    NUMBA_IMPORT_ERROR: Exception | None = None
-except Exception as _exc:  # ImportError, or a broken install
-    njit = None
-    NUMBA_AVAILABLE = False
-    NUMBA_IMPORT_ERROR = _exc
+__all__ = ["NumbaBackend"]
 
 
 if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed

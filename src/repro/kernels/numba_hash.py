@@ -10,31 +10,21 @@ promotes mixed uint64/int64 arithmetic to float64, which would silently
 destroy exactness, so all constants are wrapped.
 
 Numba is an optional dependency: importing this module never raises.
-When the import fails, :data:`NUMBA_AVAILABLE` is ``False`` and
-:mod:`repro.kernels.hash_schemes` stays on the numpy tier (the shared
-registry logs the ``backend-fallback`` event).
+The one numba import lives in :mod:`repro.kernels.registry`, which
+keeps :mod:`repro.kernels.hash_schemes` on the numpy tier (logging a
+``backend-fallback`` event) when numba is not importable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.registry import NUMBA_AVAILABLE, NUMBA_IMPORT_ERROR, njit
+
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "NUMBA_IMPORT_ERROR",
     "pairwise_u64",
     "tabulation_u64",
 ]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-    NUMBA_IMPORT_ERROR: Exception | None = None
-except Exception as _exc:  # ImportError, or a broken install
-    njit = None
-    NUMBA_AVAILABLE = False
-    NUMBA_IMPORT_ERROR = _exc
 
 
 if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed

@@ -14,35 +14,24 @@ Lookups additionally come in a ``parallel=True`` / ``prange`` variant
 table, so rows are embarrassingly parallel.
 
 Numba is an optional dependency: importing this module never raises.
-When the import fails, :data:`NUMBA_AVAILABLE` is ``False`` and
-:func:`repro.kernels.keymap.resolve_keymap_backend` falls back to
-numpy, logging a ``backend-fallback`` metrics event.
+The one numba import lives in :mod:`repro.kernels.registry`, which
+degrades a numba tier to numpy (logging a ``backend-fallback`` event)
+when numba is not importable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.registry import NUMBA_AVAILABLE, njit, prange
+
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "NUMBA_IMPORT_ERROR",
     "delete_njit",
     "insert_njit",
     "lookup_njit",
     "lookup_parallel_njit",
     "rebuild_njit",
 ]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit, prange
-
-    NUMBA_AVAILABLE = True
-    NUMBA_IMPORT_ERROR: Exception | None = None
-except Exception as _exc:  # ImportError, or a broken install
-    njit = None
-    prange = None
-    NUMBA_AVAILABLE = False
-    NUMBA_IMPORT_ERROR = _exc
 
 
 if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed

@@ -15,32 +15,23 @@ repository's exception types) that the driver in :mod:`repro.kernels`
 converts to :class:`~repro.errors.SimulationError`.
 
 Numba is an optional dependency: importing this module never raises.
-When the import fails, :data:`NUMBA_AVAILABLE` is ``False`` and backend
-resolution in :mod:`repro.kernels` falls back to numpy, logging a
-``backend-fallback`` metrics event.
+The one numba import lives in :mod:`repro.kernels.registry`, which
+degrades a ``numba`` request to numpy (logging a ``backend-fallback``
+event) when numba is not importable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.registry import NUMBA_AVAILABLE, njit
+
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "NUMBA_IMPORT_ERROR",
     "PEEL_OK",
     "PEEL_BAD_CLAIM",
     "peel_arrays_numba",
 ]
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-    NUMBA_IMPORT_ERROR: Exception | None = None
-except Exception as _exc:  # ImportError, or a broken install
-    njit = None
-    NUMBA_AVAILABLE = False
-    NUMBA_IMPORT_ERROR = _exc
 
 #: Status codes returned by the compiled loop (numba cannot raise our
 #: exception types); the driver maps non-zero codes to SimulationError.
@@ -115,7 +106,7 @@ def peel_arrays_numba(edges, degree, edge_xor):
 
     ``degree`` and ``edge_xor`` are the freshly built accumulators from
     :func:`repro.kernels.peeling.build_accumulators` (consumed — mutated
-    in place).  Only called by the driver when :data:`NUMBA_AVAILABLE`.
+    in place).  Only called by the driver when numba resolved.
     """
     if not NUMBA_AVAILABLE:  # pragma: no cover - registry prevents this
         raise RuntimeError("numba peeling selected but numba is not importable")

@@ -19,8 +19,8 @@ of job slots (``job_time`` / ``job_next`` plus per-queue head/tail and a
 free list), grown geometrically up to ``max_total_jobs + 2`` slots.
 
 Numba is an optional dependency: importing this module never raises, and
-backend resolution falls back to numpy (with a logged event) when it is
-absent — see :mod:`repro.kernels.numba_backend`.
+:mod:`repro.kernels.registry` degrades a ``numba`` request to numpy
+(with a logged event) when it is absent.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.kernels.blockrng import (
     refill_choice_block,
     refill_event_block,
 )
-from repro.kernels.numba_backend import NUMBA_AVAILABLE, njit
+from repro.kernels.registry import NUMBA_AVAILABLE, njit
 from repro.kernels.supermarket import (
     SupermarketStats,
     stability_message,

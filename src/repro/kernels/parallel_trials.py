@@ -47,8 +47,8 @@ from repro.hashing.base import ChoiceScheme
 from repro.hashing.double_hashing import DoubleHashingChoices
 from repro.kernels.blockrng import splitmix64_block, trial_seed
 from repro.kernels.generate import _RANDOM_TIE_BITS, KernelLayout
-from repro.kernels.numba_backend import NUMBA_AVAILABLE, njit
 from repro.kernels.numpy_backend import NumpyBackend, choose_window
+from repro.kernels.registry import NUMBA_AVAILABLE, njit, prange, resolve
 from repro.rng.splitmix import _GAMMA, _MIX1, _MIX2
 
 __all__ = [
@@ -143,8 +143,6 @@ def _stack_rows(rows: list[np.ndarray], trials: int) -> np.ndarray:
 
 
 if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-    from numba import prange
-
     @njit(cache=True)
     def _splitmix_at(seed: np.uint64, ctr: np.uint64) -> np.uint64:
         # Draw `ctr - 1` of the stream: mix64(seed + ctr * GAMMA), the
@@ -282,7 +280,7 @@ def run_parallel_trials(
     metrics:
         Optional :class:`~repro.metrics.MetricsRegistry`.
     """
-    from repro.kernels import kernel_metrics, resolve_backend
+    from repro.kernels import kernel_metrics
 
     if n_balls < 0:
         raise ConfigurationError(f"n_balls must be non-negative, got {n_balls}")
@@ -303,7 +301,7 @@ def run_parallel_trials(
     if shards is None:
         shards = default_shards(n, d)
     registry = metrics if metrics is not None else kernel_metrics()
-    impl = resolve_backend(backend, metrics=metrics)
+    tier = resolve("placement", backend, metrics=metrics)
 
     if fused_parallel_supported(scheme, tie_break):
         layout = _fused_layout(n, d)
@@ -312,7 +310,7 @@ def run_parallel_trials(
         keys = np.empty(trials, np.uint64)
         for i in range(trials):
             keys[i] = trial_seed(root, trial_offset + i)
-        if impl.name == "numba":
+        if tier == "numba":
             hist = np.zeros((trials, _HIST_CAP), np.int64)
             maxima = np.zeros(trials, np.int64)
             with registry.timer("kernel.parallel_trials_seconds"):
@@ -338,7 +336,7 @@ def run_parallel_trials(
         else:
             bins_p = layout.bins_p
             window = choose_window(n, d)
-            numpy_impl = impl if isinstance(impl, NumpyBackend) else NumpyBackend()
+            numpy_impl = NumpyBackend()
             ws = numpy_impl.make_workspace(
                 d=d, trials=1, window=window, bins_p=bins_p, dtype=layout.dtype
             )
@@ -376,12 +374,12 @@ def run_parallel_trials(
                     seed=np.random.default_rng(ss),
                     tie_break=tie_break,
                     block=block,
-                    backend=backend,
+                    backend=tier,
                     metrics=metrics,
                 )
                 rows.append(_sharded_histogram(batch.loads[0], shards))
         out = _stack_rows(rows, trials)
 
     registry.increment("kernel.parallel_trials", trials)
-    registry.increment(f"kernel.calls.parallel-{impl.name}", 1)
+    registry.increment(f"kernel.calls.parallel-{tier}", 1)
     return out

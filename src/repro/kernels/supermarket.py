@@ -47,26 +47,16 @@ variants must reproduce exactly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError, StabilityError
 from repro.hashing.base import ChoiceScheme
-from repro.kernels.blockrng import (
-    CHOICE_BLOCK as _CHOICE_BLOCK,
-)
-from repro.kernels.blockrng import (
-    EVENT_BLOCK as _EVENT_BLOCK,
-)
-from repro.kernels.blockrng import (
-    TIE_BITS as _TIE_BITS,
-)
-from repro.kernels.blockrng import (
-    refill_choice_block,
-    refill_event_block,
-)
+from repro.kernels.blockrng import CHOICE_BLOCK as _CHOICE_BLOCK
+from repro.kernels.blockrng import EVENT_BLOCK as _EVENT_BLOCK
+from repro.kernels.blockrng import TIE_BITS as _TIE_BITS
+from repro.kernels.blockrng import refill_choice_block, refill_event_block
 from repro.kernels.packing import (
     INT64_VALUE_BITS,
     check_packed_fields,
@@ -82,27 +72,6 @@ __all__ = [
     "stability_message",
     "validate_supermarket_args",
 ]
-
-# The draw-block sizes and tie width now live in repro.kernels.blockrng;
-# the historical public names here remain importable for one release via
-# the deprecation shim in __getattr__ below.
-_DEPRECATED_CONSTANTS = {
-    "EVENT_BLOCK": _EVENT_BLOCK,
-    "CHOICE_BLOCK": _CHOICE_BLOCK,
-    "TIE_BITS": _TIE_BITS,
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_CONSTANTS:
-        warnings.warn(
-            f"repro.kernels.supermarket.{name} is deprecated; import it "
-            "from repro.kernels.blockrng (removal one release after 1.2)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEPRECATED_CONSTANTS[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def check_queue_packing(max_total_jobs: int) -> None:

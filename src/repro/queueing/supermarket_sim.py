@@ -78,8 +78,8 @@ def simulate_supermarket(
         shortest candidate in choice order, the asymmetric rule matching
         Vöcking's scheme when used with a partitioned choice scheme.
     backend:
-        Kernel-backend name (``"numpy"``/``"numba"``); None resolves via
-        ``REPRO_BACKEND`` then auto-detection.  Every backend returns
+        Kernel tier name; None resolves via ``REPRO_BACKEND`` then
+        auto-detection (see :mod:`repro.kernels.registry`).  Every backend returns
         bit-identical results for the same seed.
     """
     return run_supermarket_kernel(

@@ -108,7 +108,7 @@ def run_service_workload(
     backend:
         Assignment-map kernel tier for every store/shard (explicit >
         ``REPRO_BACKEND`` env > auto; see
-        :func:`repro.kernels.keymap.resolve_keymap_backend`).
+        :func:`repro.kernels.registry.resolve`).
     slo_samples:
         Target number of tail-SLO samples over the run (0 disables
         periodic sampling; a final sample is always recorded).

@@ -104,8 +104,8 @@ class KeyedStore:
         Keys per load-snapshot micro-batch (see module docstring).
     backend:
         Assignment-map kernel tier (``"reference"``, ``"numpy"``,
-        ``"numba"``, ``"numba-parallel"``) resolved through
-        :func:`repro.kernels.keymap.resolve_keymap_backend`; ``None``
+        ``"numba"``, ``"numba-parallel"``) resolved as the ``"keymap"``
+        family by :func:`repro.kernels.registry.resolve`; ``None``
         follows ``REPRO_BACKEND`` then auto-detection.
     expected_keys:
         Presize the assignment map for this many live keys, keeping

@@ -1,4 +1,4 @@
-"""Tests for the unified ExperimentSpec API and its deprecation shims."""
+"""Tests for the unified ExperimentSpec API: the one call form."""
 
 from __future__ import annotations
 
@@ -92,18 +92,10 @@ class TestRunExperimentSpec:
             res = run_experiment(DoubleHashingChoices(64, 3), spec)
         assert res.distribution.trials == 6
 
-    def test_legacy_call_warns_and_matches_spec_call(self):
-        spec = ExperimentSpec(n=64, d=3, trials=6, seed=9)
-        new = run_experiment(FullyRandomChoices(64, 3), spec)
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            old = run_experiment(FullyRandomChoices(64, 3), 64, 6, seed=9)
-        assert np.array_equal(
-            new.distribution.counts, old.distribution.counts
-        )
-
     def test_overrides_on_top_of_spec(self):
+        # Per-call overrides are spelled as a derived spec.
         spec = ExperimentSpec(n=64, d=3, trials=4, seed=1)
-        res = run_experiment(DoubleHashingChoices(64, 3), spec, trials=8)
+        res = run_experiment(DoubleHashingChoices(64, 3), spec.replace(trials=8))
         assert res.distribution.trials == 8
 
     def test_heavy_load_via_n_balls(self):
@@ -150,20 +142,9 @@ class TestTableShims:
             table = table1_load_fractions(spec)
         assert table.meta["n"] == 256
 
-    def test_legacy_keywords_warn_and_match(self):
-        spec = ExperimentSpec(n=256, d=3, trials=5, seed=1)
-        new = table1_load_fractions(spec)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old = table1_load_fractions(3, n=256, trials=5, seed=1)
-        assert old.rows == new.rows
-
-    def test_legacy_positional_d_warns(self):
-        with pytest.warns(DeprecationWarning):
-            table = table1_load_fractions(4, n=128, trials=3, seed=1)
-        assert table.meta["d"] == 4
-
     def test_spec_plus_legacy_keywords_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        # The pre-spec keywords are gone; the spec is the one call form.
+        with pytest.raises(TypeError, match="unexpected keyword"):
             table1_load_fractions(ExperimentSpec(), n=128)
 
     def test_defaults_need_no_warning(self):

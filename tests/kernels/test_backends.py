@@ -1,4 +1,7 @@
-"""Backend registry: resolution order, fallback logging, public contract."""
+"""Placement face of the tier registry: ``resolve_backend``, fallback, contract.
+
+The family x value matrix over every family lives in ``test_registry.py``.
+"""
 
 from __future__ import annotations
 
@@ -12,15 +15,17 @@ from repro.kernels import (
     resolve_backend,
     run_placement_kernel,
 )
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
+from repro.kernels.registry import ENV_VAR, NUMBA_AVAILABLE, TIERS
 from repro.metrics import MetricsRegistry
+
+PLACEMENT_TIERS = TIERS["placement"]
 
 
 class TestResolution:
     def test_default_is_known_backend(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+        monkeypatch.delenv(ENV_VAR, raising=False)
         impl = resolve_backend()
-        assert impl.name in kernels.KNOWN_BACKENDS
+        assert impl.name in PLACEMENT_TIERS
         if not NUMBA_AVAILABLE:
             assert impl.name == "numpy"
 
@@ -31,24 +36,24 @@ class TestResolution:
         assert resolve_backend("  NumPy ").name == "numpy"
 
     def test_env_variable_selects(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+        monkeypatch.setenv(ENV_VAR, "numpy")
         assert resolve_backend().name == "numpy"
 
     def test_explicit_wins_over_env(self, monkeypatch):
         # An unknown env value must be ignored when an explicit name is given.
-        monkeypatch.setenv(kernels.ENV_VAR, "bogus")
+        monkeypatch.setenv(ENV_VAR, "bogus")
         assert resolve_backend("numpy").name == "numpy"
 
     def test_empty_env_means_auto(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "")
-        assert resolve_backend().name in kernels.KNOWN_BACKENDS
+        monkeypatch.setenv(ENV_VAR, "")
+        assert resolve_backend().name in PLACEMENT_TIERS
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             resolve_backend("fortran")
 
     def test_unknown_env_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "fortran")
+        monkeypatch.setenv(ENV_VAR, "fortran")
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             resolve_backend()
 
@@ -70,6 +75,7 @@ class TestFallback:
         assert len(events) > before
         ev = events[-1]
         assert ev["kind"] == "backend-fallback"
+        assert ev["family"] == "placement"
         assert ev["requested"] == "numba"
         assert ev["using"] == "numpy"
         assert ev["source"] == "explicit"
@@ -81,7 +87,7 @@ class TestFallback:
         assert "backend-fallback" in kinds
 
     def test_env_fallback_records_source(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
+        monkeypatch.setenv(ENV_VAR, "numba")
         registry = MetricsRegistry()
         assert resolve_backend(metrics=registry).name == "numpy"
         assert registry.events[-1]["source"] == "env"

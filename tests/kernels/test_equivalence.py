@@ -21,7 +21,7 @@ from repro.analysis.comparison import compare_distributions
 from repro.core import simulate_batch, simulate_single_trial
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
 from repro.kernels import choose_window, generate_packed, plan_layout
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
+from repro.kernels.registry import NUMBA_AVAILABLE
 from repro.rng import default_generator
 
 requires_numba = pytest.mark.skipif(

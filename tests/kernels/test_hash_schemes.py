@@ -20,7 +20,7 @@ from repro.kernels import (
     tabulation_hash_u64,
 )
 from repro.kernels.hash_schemes import MERSENNE_P
-from repro.kernels.numba_hash import NUMBA_AVAILABLE
+from repro.kernels.registry import NUMBA_AVAILABLE
 
 BOUNDARY_KEYS = np.array(
     [0, 1, 2, 255, 256, (1 << 32) - 1, 1 << 32, (1 << 63) - 1,

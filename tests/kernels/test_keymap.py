@@ -25,16 +25,13 @@ from repro.hashing.probe import (
     splitmix64_scalar,
 )
 from repro.kernels.keymap import (
-    KNOWN_KEYMAP_BACKENDS,
     MIN_CAP_BITS,
     NOT_FOUND,
     KeyMap,
     ReferenceKeyMap,
-    available_keymap_backends,
     make_keymap,
-    resolve_keymap_backend,
 )
-from repro.kernels.numba_keymap import NUMBA_AVAILABLE
+from repro.kernels.registry import ENV_VAR, NUMBA_AVAILABLE, TIERS, available
 from repro.metrics import MetricsRegistry
 
 requires_numba = pytest.mark.skipif(
@@ -42,9 +39,7 @@ requires_numba = pytest.mark.skipif(
 )
 
 #: Kernel tiers importable here (the oracle is the comparison baseline).
-KERNEL_BACKENDS = tuple(
-    b for b in available_keymap_backends() if b != "reference"
-)
+KERNEL_BACKENDS = tuple(b for b in available("keymap") if b != "reference")
 
 
 def _apply_stream(backend, stream):
@@ -301,28 +296,34 @@ class TestValidation:
 
 
 class TestRegistry:
+    """The keymap face of :mod:`repro.kernels.registry` (see test_registry)."""
+
     def test_known_and_available(self):
-        assert KNOWN_KEYMAP_BACKENDS == (
+        assert TIERS["keymap"] == (
             "reference", "numpy", "numba", "numba-parallel"
         )
-        avail = available_keymap_backends()
+        avail = available("keymap")
         assert "numpy" in avail and "reference" in avail
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        assert resolve_keymap_backend("numpy") == "numpy"
-        assert resolve_keymap_backend(None) == "reference"
+        monkeypatch.setenv(ENV_VAR, "reference")
+        reg = MetricsRegistry()
+        assert make_keymap(backend="numpy", metrics=reg).backend == "numpy"
+        assert make_keymap(metrics=reg).backend == "reference"
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve_keymap_backend("cupy")
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            make_keymap(backend="cupy", metrics=MetricsRegistry())
 
     @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs numba to be absent")
     def test_numba_fallback_logs_event(self):
         reg = MetricsRegistry()
-        assert resolve_keymap_backend("numba-parallel", metrics=reg) == "numpy"
+        m = make_keymap(backend="numba-parallel", metrics=reg)
+        assert m.backend == "numpy"
         events = [e for e in reg.events if e["kind"] == "backend-fallback"]
-        assert events and events[-1]["requested"] == "numba-parallel"
+        assert len(events) == 1
+        assert events[0]["requested"] == "numba-parallel"
+        assert events[0]["family"] == "keymap"
 
     def test_make_keymap_routes_reference(self):
         m = make_keymap(backend="reference", metrics=MetricsRegistry())
@@ -331,8 +332,8 @@ class TestRegistry:
 
     @requires_numba
     def test_auto_prefers_numba(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_keymap_backend(None) == "numba"
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        assert make_keymap(metrics=MetricsRegistry()).backend == "numba"
 
 
 class TestMetrics:

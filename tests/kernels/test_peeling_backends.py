@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.hashing import DoubleHashingChoices, FullyRandomChoices
 from repro.kernels import kernel_metrics, run_peeling_kernel
-from repro.kernels.numba_peeling import NUMBA_AVAILABLE
+from repro.kernels.registry import NUMBA_AVAILABLE
 from repro.metrics import MetricsRegistry
 from repro.peeling import build_hypergraph, peel, peel_reference
 from repro.peeling.hypergraph import Hypergraph

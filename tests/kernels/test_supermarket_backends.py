@@ -27,7 +27,7 @@ from repro.kernels import (
     run_supermarket_kernel,
     simulate_supermarket_reference,
 )
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
+from repro.kernels.registry import NUMBA_AVAILABLE
 from repro.metrics import MetricsRegistry
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_supermarket.json"

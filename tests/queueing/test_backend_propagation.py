@@ -15,8 +15,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hashing import FullyRandomChoices
-from repro.kernels import ENV_VAR
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
+from repro.kernels.registry import ENV_VAR, NUMBA_AVAILABLE
 from repro.metrics import global_registry
 from repro.queueing import run_queueing_experiment, simulate_supermarket
 from repro.queueing.batch import _QueueTask

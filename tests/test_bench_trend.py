@@ -30,15 +30,18 @@ def _write_fixture(root: Path) -> None:
         "results": {
             "double": {"insert_ops_per_second": 1.0e7,
                        "lookup_ops_per_second": 2.0e7,
-                       "throughput_vs_double": 1.0},
+                       "throughput_vs_double": 1.0,
+                       "lookup_vs_double": 1.0},
         },
         "backends": {
             "reference": {"insert_ops_per_second": 3.0e6,
                           "lookup_ops_per_second": 7.0e6,
-                          "throughput_vs_reference": 1.0},
+                          "throughput_vs_reference": 1.0,
+                          "lookup_vs_reference": 1.0},
             "numpy": {"insert_ops_per_second": 1.0e7,
                       "lookup_ops_per_second": 2.0e7,
-                      "throughput_vs_reference": 3.2},
+                      "throughput_vs_reference": 3.2,
+                      "lookup_vs_reference": 3.2},
         },
     }))
 
@@ -65,6 +68,48 @@ class TestCollect:
             r for r in rows if r[:3] == ("service", "keymap", "numpy")
         ]
         assert all(r[5] == "3.20x vs reference" for r in numpy_keymap)
+
+
+    def test_each_metric_gets_its_own_ratio(self, tmp_path):
+        # The layout BENCH_service.json records: the generic ratio is the
+        # insert (first-metric) ratio, lookups carry their own.
+        (tmp_path / "BENCH_service.json").write_text(json.dumps({
+            "backends": {
+                "numpy": {"insert_ops_per_second": 8.2e6,
+                          "lookup_ops_per_second": 1.8e7,
+                          "throughput_vs_reference": 2.011,
+                          "lookup_vs_reference": 1.814},
+                "other": {"insert_ops_per_second": 1.0e6,
+                          "lookup_ops_per_second": 2.0e6,
+                          "throughput_vs_reference": 0.5},
+            },
+        }))
+        ratios = {
+            (r[2], r[3]): r[5] for r in bench_trend.collect(tmp_path)
+        }
+        assert ratios[("numpy", "insert ops")] == "2.01x vs reference"
+        assert ratios[("numpy", "lookup ops")] == "1.81x vs reference"
+        # No lookup ratio recorded: none is shown, not the insert one.
+        assert ratios[("other", "insert ops")] == "0.50x vs reference"
+        assert ratios[("other", "lookup ops")] == "—"
+
+    def test_schemes_family_is_collected(self, tmp_path):
+        (tmp_path / "BENCH_schemes.json").write_text(json.dumps({
+            "backends": ["numpy"],
+            "tiers": {"numpy": {
+                "hashing": {"tabulation": {"median_seconds": 0.07,
+                                           "keys_per_second": 2.9e7}},
+                "placement": {"double": {"balls_per_second": 3.2e6,
+                                         "throughput_vs_double": 1.0},
+                              "pairwise": {"balls_per_second": 2.5e6,
+                                           "throughput_vs_double": 0.786}},
+            }},
+        }))
+        rows = bench_trend.collect(tmp_path)
+        assert ("schemes", "numpy hashing", "tabulation", "keys",
+                "29,000,000/s", "—") in rows
+        assert ("schemes", "numpy placement", "pairwise", "balls",
+                "2,500,000/s", "0.79x vs double") in rows
 
 
 class TestSplice:

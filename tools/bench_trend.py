@@ -3,12 +3,15 @@
 
 Every benchmark family writes a JSON artifact at the repo root
 (``BENCH_kernels.json``, ``BENCH_supermarket.json``,
-``BENCH_peeling.json``, ``BENCH_service.json``) with the same shape: a
-``results`` dict of contestant -> per-round metrics (plus, for the
-service bench, a ``backends`` section of keymap kernel tiers).  This
-tool renders one throughput table over all of them — the single place to
-see every hot path's recorded numbers side by side — and maintains it
-between marker comments in ``docs/performance.md``::
+``BENCH_peeling.json``, ``BENCH_service.json``, ``BENCH_schemes.json``)
+holding dicts of contestant -> metrics: ``<metric>_per_second``
+throughputs next to same-run ratios.  A ratio named ``<op>_vs_<base>``
+belongs to the metric ``<op>_...`` (``lookup_vs_reference`` to
+``lookup_ops_per_second``); the generic ``speedup_vs_<base>`` /
+``throughput_vs_<base>`` belongs to the contestant's first metric only.
+This tool renders one throughput table over all of them — the single
+place to see every hot path's recorded numbers side by side — and
+maintains it between marker comments in ``docs/performance.md``::
 
     python tools/bench_trend.py            # rewrite the table in place
     python tools/bench_trend.py --check    # exit 1 when the doc is stale
@@ -34,33 +37,70 @@ DOC_PATH = REPO_ROOT / "docs" / "performance.md"
 BEGIN_MARK = "<!-- bench-trend:begin (generated by tools/bench_trend.py) -->"
 END_MARK = "<!-- bench-trend:end -->"
 
-#: (family, json filename, sections to read: name -> results key)
+#: (family, json filename, sections: name -> key path to the contestant
+#: dict).  A ``"*"`` step fans out over every key at that level (the
+#: schemes bench nests its sections under each kernel tier), naming the
+#: section ``"<key> <name>"``.
 FAMILIES = (
-    ("kernels", "BENCH_kernels.json", {"placement": "results"}),
-    ("supermarket", "BENCH_supermarket.json", {"ctmc": "results"}),
-    ("peeling", "BENCH_peeling.json", {"decode": "results"}),
-    ("service", "BENCH_service.json", {"schemes": "results",
-                                       "keymap": "backends"}),
+    ("kernels", "BENCH_kernels.json", {"placement": ("results",)}),
+    ("supermarket", "BENCH_supermarket.json", {"ctmc": ("results",)}),
+    ("peeling", "BENCH_peeling.json", {"decode": ("results",)}),
+    ("service", "BENCH_service.json", {"schemes": ("results",),
+                                       "keymap": ("backends",)}),
+    ("schemes", "BENCH_schemes.json", {
+        "hashing": ("tiers", "*", "hashing"),
+        "placement": ("tiers", "*", "placement"),
+    }),
 )
+
+_GENERIC_RATIOS = ("speedup_vs_", "throughput_vs_")
+
+
+def _format_ratio(key, value):
+    return f"{value:.2f}x vs {key.split('_vs_', 1)[1]}"
+
+
+def _ratio(entry, metric, primary):
+    """The ratio column for ``metric`` (a ``*_per_second`` stem)."""
+    op = metric.split("_", 1)[0]
+    for key, value in entry.items():
+        if key.startswith(f"{op}_vs_"):
+            return _format_ratio(key, value)
+    if primary:
+        for key, value in entry.items():
+            if key.startswith(_GENERIC_RATIOS):
+                return _format_ratio(key, value)
+    return "—"
 
 
 def _metric_rows(family, section, contestant, entry):
     """Rows for one contestant: one per ``*_per_second`` metric."""
     if entry.get("status") == "unavailable":
         return [(family, section, contestant, "—", "unavailable", "—")]
-    ratio = "—"
-    for key, value in entry.items():
-        if key.startswith(("speedup_vs_", "throughput_vs_")):
-            ratio = f"{value:.2f}x vs {key.rsplit('_', 1)[-1]}"
-            break
+    metrics = [k for k in entry if k.endswith("_per_second")]
     rows = []
-    for key, value in entry.items():
-        if key.endswith("_per_second"):
-            unit = key[: -len("_per_second")].replace("_", " ")
-            rows.append(
-                (family, section, contestant, unit, f"{value:,.0f}/s", ratio)
-            )
+    for i, key in enumerate(metrics):
+        metric = key[: -len("_per_second")]
+        rows.append((
+            family, section, contestant, metric.replace("_", " "),
+            f"{entry[key]:,.0f}/s", _ratio(entry, metric, primary=i == 0),
+        ))
     return rows
+
+
+def _sections(report, name, path):
+    """``(section name, contestant dict)`` pairs reached by ``path``."""
+    if not path:
+        yield name, report
+        return
+    step, rest = path[0], path[1:]
+    if step == "*":
+        for key, sub in report.items():
+            if isinstance(sub, dict):
+                for _, found in _sections(sub, name, rest):
+                    yield f"{key} {name}", found
+    elif isinstance(report.get(step), dict):
+        yield from _sections(report[step], name, rest)
 
 
 def collect(root: Path | None = None):
@@ -72,12 +112,13 @@ def collect(root: Path | None = None):
         if not path.exists():
             continue
         report = json.loads(path.read_text())
-        for section, results_key in sections.items():
-            for contestant, entry in report.get(results_key, {}).items():
-                if isinstance(entry, dict):
-                    rows.extend(
-                        _metric_rows(family, section, contestant, entry)
-                    )
+        for name, key_path in sections.items():
+            for section, results in _sections(report, name, key_path):
+                for contestant, entry in results.items():
+                    if isinstance(entry, dict):
+                        rows.extend(
+                            _metric_rows(family, section, contestant, entry)
+                        )
     return rows
 
 
